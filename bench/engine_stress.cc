@@ -63,35 +63,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     pooled_sim.callbackPoolReuses()));
 
-    // Parallel engine: the Cedar-shaped partition workload under the
-    // conservative window protocol at a ladder of thread counts. The
-    // checksum equality is the determinism contract in action; the
-    // speedup column is bounded by the host's core count.
-    std::printf("\nParallel engine: %u cluster partitions + complex, "
-                "lookahead %llu ticks\n\n",
-                pdes_clusters,
-                static_cast<unsigned long long>(pdes_channel_latency));
-    PdesResult serial = runPdes(1);
-    core::TableWriter ptable(
-        {"threads", "events", "host s", "vs 1 thread", "checksum ok"});
-    double speedup_best = 1.0;
-    for (unsigned threads : {1u, 2u, 4u}) {
-        PdesResult r = threads == 1 ? serial : runPdes(threads);
-        if (r.checksum != serial.checksum) {
-            std::fprintf(stderr,
-                         "FATAL: checksum diverged at %u threads\n",
-                         threads);
-            return 1;
-        }
-        double speedup = serial.seconds / r.seconds;
-        if (threads > 1 && speedup > speedup_best)
-            speedup_best = speedup;
-        ptable.row({std::to_string(threads), std::to_string(r.events),
-                    core::fmt(r.seconds, 3), core::fmt(speedup, 2) + "x",
-                    "yes"});
-    }
-    ptable.print();
-
     out.metric("member_events_per_sec", member.rate());
     out.metric("pooled_events_per_sec", pooled.rate());
     out.metric("closure_events_per_sec", closure.rate());
@@ -103,8 +74,6 @@ main(int argc, char **argv)
                static_cast<std::uint64_t>(
                    pooled_sim.callbackPoolAllocated()));
     out.metric("callback_pool_reuses", pooled_sim.callbackPoolReuses());
-    out.metric("pdes_serial_seconds", serial.seconds);
-    out.metric("pdes_speedup_best", speedup_best);
     out.emit();
     return 0;
 }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "sim/engine.hh"
-#include "sim/pdes.hh"
 
 namespace cedar::bench::stress {
 
@@ -227,132 +226,6 @@ stress(Engine &sim, std::uint64_t events = default_events,
     for (int rep = 1; rep < reps; ++rep) {
         Engine fresh;
         StressResult r = runOnce<Actor>(fresh, events);
-        if (r.seconds < best.seconds)
-            best = r;
-    }
-    return best;
-}
-
-/**
- * The parallel-engine workload: a Cedar-shaped partition graph — four
- * cluster logical processes around one network+memory complex — where
- * every cluster runs a self-rescheduling compute cascade and fires a
- * request at the complex each `request_period` steps; the complex does
- * its own work and answers back. Per-event busy-work emulates a
- * component's model cost, giving the windows something to overlap.
- *
- * Every partition folds its work into a private checksum; the combined
- * checksum is thread-count invariant (the coordinator's determinism
- * contract), and both consumers assert it: the stress bench against
- * threads=1, the trajectory probe across its whole thread ladder.
- */
-struct PdesResult
-{
-    double seconds;
-    std::uint64_t checksum;
-    std::uint64_t events;
-};
-
-constexpr unsigned pdes_clusters = 4;
-constexpr Tick pdes_channel_latency = 8;
-constexpr Tick pdes_default_horizon = 40'000;
-constexpr unsigned pdes_default_work = 400;
-
-/** splitmix64 round: cheap, well-mixed busy-work and checksum step. */
-inline std::uint64_t
-pdesMix(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-inline PdesResult
-runPdesOnce(unsigned threads, Tick horizon, unsigned work_rounds,
-            unsigned request_period = 3)
-{
-    EngineCoordinator coord("bench.pdes", threads);
-    unsigned complex_lp = coord.addPartition("bench.pdes.complex");
-    struct ClusterState
-    {
-        unsigned lp;
-        unsigned to_complex;
-        unsigned to_cluster;
-        std::uint64_t sum = 0;
-        std::uint64_t step = 0;
-    };
-    std::vector<ClusterState> clusters(pdes_clusters);
-    std::uint64_t complex_sum = 0;
-    for (unsigned c = 0; c < pdes_clusters; ++c) {
-        clusters[c].lp =
-            coord.addPartition("bench.pdes.c" + std::to_string(c));
-        clusters[c].to_complex = coord.addChannel(
-            clusters[c].lp, complex_lp, pdes_channel_latency);
-        clusters[c].to_cluster = coord.addChannel(
-            complex_lp, clusters[c].lp, pdes_channel_latency);
-    }
-
-    auto burn = [work_rounds](std::uint64_t seed) {
-        std::uint64_t v = seed;
-        for (unsigned i = 0; i < work_rounds; ++i)
-            v = pdesMix(v);
-        return v;
-    };
-
-    // Each cluster's cascade: burn, fold, rearm; every request_period
-    // steps ask the complex for "service", whose response folds back in.
-    std::function<void(unsigned)> cascade = [&](unsigned c) {
-        ClusterState &st = clusters[c];
-        Simulation &sim = coord.partition(st.lp);
-        if (sim.curTick() >= horizon)
-            return;
-        st.sum ^= burn(st.sum + sim.curTick() + c);
-        ++st.step;
-        if (st.step % request_period == 0) {
-            std::uint64_t payload = st.sum;
-            coord.send(st.to_complex,
-                       sim.curTick() + pdes_channel_latency,
-                       [&, c, payload] {
-                           Simulation &cx = coord.partition(complex_lp);
-                           complex_sum ^= burn(payload + cx.curTick());
-                           std::uint64_t reply = complex_sum;
-                           coord.send(clusters[c].to_cluster,
-                                      cx.curTick() + pdes_channel_latency,
-                                      [&, c, reply] {
-                                          clusters[c].sum ^= reply;
-                                      });
-                       });
-        }
-        sim.scheduleIn(1 + c % 3, [&cascade, c] { cascade(c); });
-    };
-
-    for (unsigned c = 0; c < pdes_clusters; ++c) {
-        clusters[c].sum = pdesMix(c + 1);
-        coord.partition(clusters[c].lp).schedule(
-            1 + c, [&cascade, c] { cascade(c); });
-    }
-
-    auto t0 = std::chrono::steady_clock::now();
-    coord.runUntil(horizon);
-    auto t1 = std::chrono::steady_clock::now();
-
-    std::uint64_t checksum = complex_sum;
-    for (const auto &st : clusters)
-        checksum = pdesMix(checksum ^ st.sum);
-    return PdesResult{std::chrono::duration<double>(t1 - t0).count(),
-                      checksum, coord.eventsExecuted()};
-}
-
-/** Warm once, then best-of-@p reps (same policy as stress()). */
-inline PdesResult
-runPdes(unsigned threads, Tick horizon = pdes_default_horizon,
-        unsigned work_rounds = pdes_default_work, int reps = 3)
-{
-    runPdesOnce(threads, horizon / 10, work_rounds);
-    PdesResult best = runPdesOnce(threads, horizon, work_rounds);
-    for (int rep = 1; rep < reps; ++rep) {
-        PdesResult r = runPdesOnce(threads, horizon, work_rounds);
         if (r.seconds < best.seconds)
             best = r;
     }

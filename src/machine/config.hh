@@ -32,25 +32,8 @@ struct CedarConfig
     /** Liveness watchdog (deadlock/livelock detection). */
     WatchdogParams watchdog{};
 
-    /**
-     * Parallel-engine worker threads. 0 runs the classic serial engine
-     * with no coordinator at all; N >= 1 partitions the machine per
-     * `engine_partition_map` under an EngineCoordinator with N window
-     * workers (1 = the full window protocol, sequentially — the
-     * determinism reference). Results are bit-identical for every
-     * value (sim/pdes.hh), which is why neither engine knob joins the
-     * fingerprint: a checkpoint saved under any engine restores under
-     * any other.
-     */
-    unsigned engine_threads = 0;
-
-    /**
-     * How to partition the machine into logical processes:
-     * "cluster" — one partition per cluster plus the network+global-
-     * memory complex; "coarse" — a single complex partition (useful
-     * for isolating partition-map effects in tests).
-     */
-    std::string engine_partition_map = "cluster";
+    /** Largest supported machine: 256 clusters (2048 CEs). */
+    static constexpr unsigned max_clusters = 256;
 
     /** Total CEs. */
     unsigned
@@ -67,12 +50,11 @@ struct CedarConfig
     void
     validate() const
     {
+        checkClusters(num_clusters);
         auto reject = [](const std::string &msg) {
             throw SimError(SimError::Kind::config, "cedar.config",
                            currentErrorTick(), msg);
         };
-        if (num_clusters == 0)
-            reject("machine needs at least one cluster");
         if (cluster.num_ces == 0)
             reject("cluster needs at least one CE");
         if (gm.num_modules == 0)
@@ -138,15 +120,18 @@ struct CedarConfig
         }
         if (cluster.pfu.buffer_words == 0)
             reject("prefetch buffer must hold at least one word");
-        if (engine_threads > 256) {
-            reject("engine_threads " + std::to_string(engine_threads) +
-                   " is past any plausible host (limit 256)");
-        }
-        if (engine_partition_map != "cluster" &&
-            engine_partition_map != "coarse") {
-            reject("unknown engine_partition_map '" +
-                   engine_partition_map +
-                   "' (expected \"cluster\" or \"coarse\")");
+    }
+
+    /** Raise a `config` SimError unless 1 <= @p clusters <= 256. */
+    static void
+    checkClusters(unsigned clusters)
+    {
+        if (clusters == 0 || clusters > max_clusters) {
+            throw SimError(SimError::Kind::config, "cedar.config",
+                           currentErrorTick(),
+                           "num_clusters " + std::to_string(clusters) +
+                               " is outside [1, " +
+                               std::to_string(max_clusters) + "]");
         }
     }
 
@@ -170,6 +155,9 @@ struct CedarConfig
     scaled(unsigned clusters, const std::string &topology = "omega",
            bool combined_net = false)
     {
+        // Bound the count before any arithmetic: from 2^28 clusters
+        // clusters * num_ces wraps and the module loop would not end.
+        checkClusters(clusters);
         CedarConfig cfg;
         cfg.num_clusters = clusters;
         cfg.gm.num_ports = clusters * cfg.cluster.num_ces;

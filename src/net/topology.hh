@@ -11,9 +11,10 @@
  * contract are shared here; a concrete topology only supplies its
  * routing function and its minimum-latency bound.
  *
- * The `minLatency()` contract matters beyond reporting: the PDES
- * coordinator derives conservative channel lookahead from it, so it
- * must be a true lower bound on any traversal's head latency.
+ * The `minLatency()` contract matters beyond reporting:
+ * GlobalMemory::minReadLatency() and the traffic golden cells' latency
+ * floor are built on it, so it must be a true lower bound on any
+ * traversal's head latency.
  */
 
 #ifndef CEDARSIM_NET_TOPOLOGY_HH
@@ -78,8 +79,8 @@ class Topology : public Named, public Checkpointable
 
     /**
      * Minimum (uncontended) head latency through the network. Must be
-     * a true lower bound over all (in_port, dest) pairs: the PDES
-     * partition maps use it as conservative channel lookahead.
+     * a true lower bound over all (in_port, dest) pairs: the memory
+     * read-latency floor and the traffic golden cells rely on it.
      */
     virtual Cycles minLatency() const = 0;
 

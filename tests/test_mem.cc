@@ -110,25 +110,30 @@ TEST_P(SyncSemantics, TestAndOperate)
     EXPECT_EQ(cell, c.expect_cell);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ZhuYew, SyncSemantics,
-    ::testing::Values(
-        SyncCase{SyncTest::always, 0, SyncOperate::read, 0, 7, true, 7},
-        SyncCase{SyncTest::always, 0, SyncOperate::write, 9, 7, true, 9},
-        SyncCase{SyncTest::always, 0, SyncOperate::add, 2, 7, true, 9},
-        SyncCase{SyncTest::always, 0, SyncOperate::subtract, 2, 7, true, 5},
-        SyncCase{SyncTest::always, 0, SyncOperate::logic_and, 6, 7, true, 6},
-        SyncCase{SyncTest::always, 0, SyncOperate::logic_or, 8, 7, true, 15},
-        SyncCase{SyncTest::eq, 7, SyncOperate::write, 1, 7, true, 1},
-        SyncCase{SyncTest::eq, 6, SyncOperate::write, 1, 7, false, 7},
-        SyncCase{SyncTest::ne, 6, SyncOperate::add, 1, 7, true, 8},
-        SyncCase{SyncTest::ne, 7, SyncOperate::add, 1, 7, false, 7},
-        SyncCase{SyncTest::lt, 8, SyncOperate::add, 1, 7, true, 8},
-        SyncCase{SyncTest::lt, 7, SyncOperate::add, 1, 7, false, 7},
-        SyncCase{SyncTest::le, 7, SyncOperate::add, 1, 7, true, 8},
-        SyncCase{SyncTest::gt, 6, SyncOperate::subtract, 1, 7, true, 6},
-        SyncCase{SyncTest::gt, 7, SyncOperate::subtract, 1, 7, false, 7},
-        SyncCase{SyncTest::ge, 7, SyncOperate::set_one, 0, 7, true, 1}));
+// gtest names each case after the bytes of its parameter, padding
+// included. A table in static storage has zero-filled padding, so the
+// names are the same on every run; temporaries would print stack bytes.
+const SyncCase zhu_yew_cases[] = {
+    SyncCase{SyncTest::always, 0, SyncOperate::read, 0, 7, true, 7},
+    SyncCase{SyncTest::always, 0, SyncOperate::write, 9, 7, true, 9},
+    SyncCase{SyncTest::always, 0, SyncOperate::add, 2, 7, true, 9},
+    SyncCase{SyncTest::always, 0, SyncOperate::subtract, 2, 7, true, 5},
+    SyncCase{SyncTest::always, 0, SyncOperate::logic_and, 6, 7, true, 6},
+    SyncCase{SyncTest::always, 0, SyncOperate::logic_or, 8, 7, true, 15},
+    SyncCase{SyncTest::eq, 7, SyncOperate::write, 1, 7, true, 1},
+    SyncCase{SyncTest::eq, 6, SyncOperate::write, 1, 7, false, 7},
+    SyncCase{SyncTest::ne, 6, SyncOperate::add, 1, 7, true, 8},
+    SyncCase{SyncTest::ne, 7, SyncOperate::add, 1, 7, false, 7},
+    SyncCase{SyncTest::lt, 8, SyncOperate::add, 1, 7, true, 8},
+    SyncCase{SyncTest::lt, 7, SyncOperate::add, 1, 7, false, 7},
+    SyncCase{SyncTest::le, 7, SyncOperate::add, 1, 7, true, 8},
+    SyncCase{SyncTest::gt, 6, SyncOperate::subtract, 1, 7, true, 6},
+    SyncCase{SyncTest::gt, 7, SyncOperate::subtract, 1, 7, false, 7},
+    SyncCase{SyncTest::ge, 7, SyncOperate::set_one, 0, 7, true, 1},
+};
+
+INSTANTIATE_TEST_SUITE_P(ZhuYew, SyncSemantics,
+                         ::testing::ValuesIn(zhu_yew_cases));
 
 // ---------------------------------------------------------------------
 // Module timing

@@ -4,8 +4,8 @@
  * unit tests only probe pointwise.
  *
  *  - Engine: the (when, priority, seq) total order over every firing,
- *    under random schedules, chained scheduling, and repeated runs
- *    (run-to-run determinism).
+ *    under random schedules, chained scheduling, repeated runs
+ *    (run-to-run determinism), and runUntil() horizon chunking.
  *  - Omega network: Lawrie tag self-routing reaches the right module
  *    from every input under every mixed-radix shape we ship, packets
  *    are conserved under flow control, and no head beats the
@@ -42,9 +42,7 @@ struct QuietEnv : public ::testing::Environment
 const auto *quiet_env =
     ::testing::AddGlobalTestEnvironment(new QuietEnv);
 
-// The corpus generator and serial-reference runner live in
-// tests/fuzz_schedule.hh now, shared with the parallel-engine battery
-// (tests/test_pdes.cc) so both engines face the same inputs.
+// The corpus generators and runners live in tests/fuzz_schedule.hh.
 using test::fuzz::Firing;
 constexpr auto &all_priorities = test::fuzz::fuzz_priorities;
 
@@ -103,33 +101,21 @@ TEST(EngineProperty, SameSeedSameFiringSequence)
     }
 }
 
-TEST(EngineProperty, SameCorpusSameFiringsOnEitherEngine)
+TEST(EngineProperty, HorizonChunkedRunsMatchOneShotRun)
 {
-    // The corpus is engine-agnostic: spread over coordinator
-    // partitions, every firing keeps its (tick, priority, identity).
-    // The full parallel-engine battery lives in test_pdes.cc; this
-    // pins the property-suite contract from the serial side.
-    // Partition tags differ by construction (serial tags all 0), so
-    // order by (when, priority, index) only.
-    auto sortByIdentity = [](std::vector<test::fuzz::Firing> v) {
-        std::sort(v.begin(), v.end(),
-                  [](const test::fuzz::Firing &a,
-                     const test::fuzz::Firing &b) {
-                      return std::make_tuple(a.when, a.priority, a.index) <
-                             std::make_tuple(b.when, b.priority, b.index);
-                  });
-        return v;
-    };
-    auto serial = sortByIdentity(
-        test::fuzz::canonical({runRandomSchedule(7, 400, 150)}));
-    auto part = sortByIdentity(test::fuzz::canonical(
-        test::fuzz::runFlatPartitioned(7, 400, 150, 4, 2)));
-    ASSERT_EQ(serial.size(), part.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].when, part[i].when);
-        EXPECT_EQ(serial[i].priority, part[i].priority);
-        EXPECT_EQ(serial[i].index, part[i].index);
+    // runUntil composition: driving the engine in fixed-size horizon
+    // chunks (as benches and telemetry do) must execute the identical
+    // trace as one run to completion.
+    test::fuzz::MessageCorpus mc;
+    auto oneshot = test::fuzz::runMessageSerial(mc);
+    auto chunked = test::fuzz::runMessageSerial(mc, 37);
+    ASSERT_EQ(oneshot.size(), chunked.size());
+    std::size_t firings = 0;
+    for (std::size_t p = 0; p < oneshot.size(); ++p) {
+        EXPECT_EQ(oneshot[p], chunked[p]) << "partition " << p;
+        firings += oneshot[p].size();
     }
+    EXPECT_GT(firings, mc.partitions * mc.chains);
 }
 
 TEST(EngineProperty, ChainedSchedulingStaysOrderedAndDeterministic)

@@ -75,6 +75,20 @@ TEST(Engine, RunUntilStopsAtHorizonAndResumes)
     EXPECT_EQ(sim.curTick(), 100u);
 }
 
+TEST(Engine, RunUntilLeavesDrainedClockAtLastEvent)
+{
+    // A queue that drains inside the horizon leaves the clock at its
+    // last event, and a drained engine does not advance to the horizon.
+    Simulation sim;
+    int fired = 0;
+    sim.schedule(120, [&] { ++fired; });
+    sim.runUntil(150);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.curTick(), 120u);
+    sim.runUntil(500);
+    EXPECT_EQ(sim.curTick(), 120u);
+}
+
 TEST(Engine, StopHaltsTheLoop)
 {
     Simulation sim;

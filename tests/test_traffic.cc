@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -187,27 +188,6 @@ TEST(Traffic, RerunsAreBitIdentical)
     }
 }
 
-// The engine axis: serial engine and windowed coordinator at 2 and 4
-// threads must agree exactly, for every pattern (the traffic driver
-// lives on the complex partition, so the PDES contract covers it).
-TEST(Traffic, EngineThreadLadderIsBitIdentical)
-{
-    for (TrafficPattern pattern : net::allTrafficPatterns()) {
-        TrafficParams p;
-        p.pattern = pattern;
-        p.rounds = 8;
-        auto cfg = machine::CedarConfig::scaled(2);
-        auto reference = runOn(cfg, p);
-        for (unsigned threads : {2u, 4u}) {
-            auto threaded = cfg;
-            threaded.engine_threads = threads;
-            EXPECT_TRUE(identical(reference, runOn(threaded, p)))
-                << net::trafficPatternName(pattern) << " at "
-                << threads << " engine threads";
-        }
-    }
-}
-
 // Folding both directions onto one fabric must cost latency under
 // load (requests and replies now contend) and never deadlock.
 TEST(Traffic, CombinedNetworkContendsButCompletes)
@@ -245,6 +225,37 @@ TEST(Traffic, ScaledConfigsValidateFromOneToTwoFiftySixClusters)
                 EXPECT_EQ(p, cfg.gm.num_ports) << clusters << " clusters";
             }
         }
+    }
+}
+
+// Past the documented 1..256 range, scaled() and validate() refuse
+// with a typed config error. scaled() must refuse before computing
+// clusters * ces: from 2^28 clusters that product wraps and its module
+// loop would never end.
+TEST(Traffic, ScaledConfigsRejectClusterCountsOutsideOneToTwoFiftySix)
+{
+    auto expectConfigError = [](auto &&fn, const std::string &what) {
+        try {
+            fn();
+            ADD_FAILURE() << what << " was accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::config) << what;
+        }
+    };
+    for (unsigned clusters :
+         {0u, 257u, 512u, 1u << 28, std::numeric_limits<unsigned>::max()}) {
+        for (const char *topo : {"omega", "fattree", "crossbar"}) {
+            std::string what =
+                std::to_string(clusters) + " clusters, " + topo;
+            expectConfigError(
+                [&] { machine::CedarConfig::scaled(clusters, topo); },
+                "scaled(" + what + ")");
+        }
+        machine::CedarConfig cfg;
+        cfg.num_clusters = clusters;
+        expectConfigError([&] { cfg.validate(); },
+                          "validate() of " + std::to_string(clusters) +
+                              " clusters");
     }
 }
 
